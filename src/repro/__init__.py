@@ -37,6 +37,7 @@ from .broker import (
     BrokerNetwork,
     CallbackSink,
     CollectingSink,
+    DeliveryError,
     DeliverySink,
     Notification,
     Publisher,
@@ -69,7 +70,6 @@ from .core import (
     ShardPartitioner,
     ShardWorkerError,
     ShardedEngine,
-    ThreadExecutor,
     UnknownEngineError,
     UnknownSubscriptionError,
     UnsupportedSubscriptionError,
@@ -128,6 +128,7 @@ __all__ = [
     "CollectingSink",
     "QueueSink",
     "as_sink",
+    "DeliveryError",
     "TopologyError",
     "ENGINES",
     "EngineSpec",
@@ -144,7 +145,6 @@ __all__ = [
     "HashPartitioner",
     "RoutedPartitioner",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "ShardWorkerError",
     "executor_names",

@@ -1,6 +1,6 @@
 """Broker substrate: single broker, clients, and the overlay network."""
 
-from .broker import Broker, BrokerStats, Notification
+from .broker import Broker, BrokerStats, DeliveryError, Notification
 from .client import Publisher, Subscriber
 from .handle import SubscriptionHandle
 from .network import BrokerNetwork, NetworkStats, TopologyError
@@ -23,6 +23,7 @@ from .persistence import (
 __all__ = [
     "Broker",
     "BrokerStats",
+    "DeliveryError",
     "Notification",
     "Publisher",
     "Subscriber",

@@ -19,6 +19,12 @@ The public surface:
   iterable of either (routed through the batch matching pipeline);
 * :meth:`Broker.stream` generates per-event deliveries for feeds too
   large to materialize, batching internally.
+
+Delivery-failure policy: a sink that raises never stops delivery to the
+other sinks.  The broker counts each failure in
+:attr:`BrokerStats.delivery_errors`, finishes the whole publish call,
+and then raises one :class:`DeliveryError` listing every failed
+``(subscription id, exception)`` pair, chained from the first exception.
 """
 
 from __future__ import annotations
@@ -57,6 +63,29 @@ class BrokerStats:
     notifications_delivered: int = 0
     subscriptions_registered: int = 0
     subscriptions_removed: int = 0
+    delivery_errors: int = 0         # sink deliveries that raised
+
+
+class DeliveryError(RuntimeError):
+    """One or more sinks raised while a publish call delivered.
+
+    Raised after every other sink of the call was served; ``failures``
+    holds the ``(subscription id, exception)`` pairs in delivery order.
+    """
+
+    def __init__(self, failures: list[tuple[int, Exception]]) -> None:
+        self.failures = failures
+        listed = ", ".join(
+            f"{subscription_id}: {error!r}" for subscription_id, error in failures
+        )
+        super().__init__(f"{len(failures)} sink delivery failure(s): {listed}")
+
+
+def raise_delivery_failures(failures: list[tuple[int, Exception]]) -> None:
+    """Raise the :class:`DeliveryError` for a finished call, if any sink
+    failed — chained from the first failure."""
+    if failures:
+        raise DeliveryError(failures) from failures[0][1]
 
 
 def coerce_event(event: Event | Mapping) -> Event:
@@ -295,6 +324,9 @@ class Broker:
             When a schema is configured and an event does not conform
             (a violating event rejects its whole batch before any
             delivery happens).
+        DeliveryError
+            After the call delivered to every other sink, when one or
+            more sinks raised (see the module's failure policy).
         """
         if isinstance(events, (Event, Mapping)):
             return self._publish_event(coerce_event(events))
@@ -334,8 +366,10 @@ class Broker:
         matched = self.engine.match(event)
         if matched:
             self.stats.events_matched += 1
-        notifications = self._deliver(event, matched)
+        failures: list[tuple[int, Exception]] = []
+        notifications = self._deliver(event, matched, failures)
         self.stats.notifications_delivered += len(notifications)
+        raise_delivery_failures(failures)
         return notifications
 
     def _publish_batch(
@@ -350,21 +384,31 @@ class Broker:
         matched_sets = self.engine.match_batch(events)
         batched: list[list[Notification]] = []
         delivered = 0
+        failures: list[tuple[int, Exception]] = []
         for event, matched in zip(events, matched_sets):
             if matched:
                 self.stats.events_matched += 1
-            notifications = self._deliver(event, matched)
+            notifications = self._deliver(event, matched, failures)
             delivered += len(notifications)
             batched.append(notifications)
         self.stats.notifications_delivered += delivered
+        raise_delivery_failures(failures)
         return batched
 
-    def _deliver(self, event: Event, matched: set[int]) -> list[Notification]:
+    def _deliver(
+        self,
+        event: Event,
+        matched: set[int],
+        failures: list[tuple[int, Exception]],
+    ) -> list[Notification]:
         """Build and deliver notifications for one matched event.
 
         Paused handles are skipped entirely (no notification object).  A
         bounded sink may still drop internally — that shows up in the
-        sink's own ``dropped`` counter, not here.
+        sink's own ``dropped`` counter, not here.  A sink that raises is
+        counted, its notification left out of the result, and the
+        ``(subscription id, exception)`` pair appended to ``failures``
+        for the caller to raise once the whole call has delivered.
         """
         notifications = []
         for subscription_id in sorted(matched):
@@ -378,7 +422,12 @@ class Broker:
                 broker=self.name,
             )
             if handle is not None and handle.sink is not None:
-                handle.sink.deliver(notification)
+                try:
+                    handle.sink.deliver(notification)
+                except Exception as error:
+                    self.stats.delivery_errors += 1
+                    failures.append((subscription_id, error))
+                    continue
             notifications.append(notification)
         return notifications
 
@@ -390,6 +439,13 @@ class Broker:
         Used by the overlay network when an event reaches a
         subscription's home broker; feeds the handle's sink.  Returns
         ``None`` (and delivers nothing) when the handle is paused.
+
+        Raises
+        ------
+        DeliveryError
+            When the sink raises (counted in ``delivery_errors``); the
+            network catches it, finishes its publish call, and raises
+            one error for the whole call.
         """
         handle = self._handles[subscription_id]
         if handle.paused:
@@ -401,7 +457,11 @@ class Broker:
             broker=self.name,
         )
         if handle.sink is not None:
-            handle.sink.deliver(notification)
+            try:
+                handle.sink.deliver(notification)
+            except Exception as error:
+                self.stats.delivery_errors += 1
+                raise DeliveryError([(subscription_id, error)]) from error
         self.stats.notifications_delivered += 1
         return notification
 

@@ -40,10 +40,12 @@ from ..memory.model import SimulatedMachine
 from ..subscriptions.subscription import Subscription
 from .broker import (
     Broker,
+    DeliveryError,
     Notification,
     coerce_event,
     coerce_events,
     coerce_subscription_id,
+    raise_delivery_failures,
     stream_events,
 )
 from .handle import SubscriptionHandle
@@ -321,6 +323,12 @@ class BrokerNetwork:
         other iterable is materialized once and routed through the
         batched overlay pipeline (result ``i`` holds event ``i``'s
         deliveries).  Use :meth:`stream` for unbounded feeds.
+
+        A raising sink follows the broker's failure policy network-wide:
+        it is counted in its home broker's ``delivery_errors``, every
+        other delivery of the call still happens, and one
+        :class:`~repro.broker.broker.DeliveryError` listing all failures
+        is raised at the end.
         """
         if isinstance(events, (Event, Mapping)):
             return self._publish_event(broker_name, coerce_event(events))
@@ -355,6 +363,7 @@ class BrokerNetwork:
         """
         self.stats.events_published += 1
         deliveries: list[Notification] = []
+        failures: list[tuple[int, Exception]] = []
         frontier: list[tuple[str | None, str]] = [(None, self.broker(broker_name).name)]
         while frontier:
             came_from, current = frontier.pop()
@@ -373,7 +382,11 @@ class BrokerNetwork:
                 if hop is None:
                     # this broker is the subscription's home: deliver
                     # (None means the handle is paused — no delivery)
-                    notification = broker.notify_local(event, sid)
+                    try:
+                        notification = broker.notify_local(event, sid)
+                    except DeliveryError as error:
+                        failures.extend(error.failures)
+                        continue
                     if notification is not None:
                         deliveries.append(notification)
                 elif hop != came_from:
@@ -382,6 +395,7 @@ class BrokerNetwork:
                 self.stats.broker_hops += 1
                 frontier.append((current, neighbor))
         self.stats.notifications_delivered += len(deliveries)
+        raise_delivery_failures(failures)
         return deliveries
 
     def publish_batch(
@@ -416,6 +430,7 @@ class BrokerNetwork:
         if not events:
             return deliveries
         delivered = 0
+        failures: list[tuple[int, Exception]] = []
         #: (came_from, current, indices of events reaching ``current``)
         frontier: list[tuple[str | None, str, list[int]]] = [
             (None, home, list(range(len(events))))
@@ -441,7 +456,11 @@ class BrokerNetwork:
                     if hop is None:
                         # this broker is the subscription's home: deliver
                         # (None means the handle is paused — no delivery)
-                        notification = broker.notify_local(events[index], sid)
+                        try:
+                            notification = broker.notify_local(events[index], sid)
+                        except DeliveryError as error:
+                            failures.extend(error.failures)
+                            continue
                         if notification is not None:
                             deliveries[index].append(notification)
                             delivered += 1
@@ -452,6 +471,7 @@ class BrokerNetwork:
                 self.stats.broker_hops += 1
                 frontier.append((current, neighbor, neighbor_indices))
         self.stats.notifications_delivered += delivered
+        raise_delivery_failures(failures)
         return deliveries
 
     # ------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .sharded import (
     ShardPartitioner,
     ShardWorkerError,
     ShardedEngine,
-    ThreadExecutor,
     executor_names,
     make_executor,
     make_partitioner,
@@ -95,7 +94,6 @@ __all__ = [
     "HashPartitioner",
     "RoutedPartitioner",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "ShardWorkerError",
     "executor_names",

@@ -349,8 +349,7 @@ class FulfilledMatrix:
         """Transpose per-event fulfilled-id sets into column form.
 
         The set-based reference construction — tests pit engine matrix
-        paths against set paths through it, and the sharded runtime uses
-        it when an executor hands it plain sets.
+        paths against set paths through it.
         """
         columns = [0] * layout.capacity
         active_bits: list[int] = []
@@ -389,35 +388,6 @@ class FulfilledMatrix:
     def row_bitmap(self, index: int) -> Bitmap:
         """Event ``index``'s row as a :class:`Bitmap` over the layout."""
         return Bitmap.from_int(self.row(index), self.layout.capacity)
-
-    def select(self, indices: Sequence[int]) -> "FulfilledMatrix":
-        """Sub-matrix over the events at ``indices`` (renumbered densely).
-
-        Row ``j`` of the result is row ``indices[j]`` of this matrix —
-        the slicing primitive behind routed shard pruning: the parent
-        builds one batch matrix, each candidate shard evaluates only the
-        rows of the events it might match.  Columns that become zero are
-        dropped from ``active_bits``, so a shard whose candidate events
-        fulfil few predicates scans proportionally less.  Selecting every
-        event in order returns ``self`` (no copy).
-        """
-        if len(indices) == self.event_count and all(
-            got == want for want, got in enumerate(indices)
-        ):
-            return self
-        columns = [0] * self.layout.capacity
-        active: list[int] = []
-        own_columns = self.columns
-        for bit in self.active_bits:
-            column = own_columns[bit]
-            sub = 0
-            for j, i in enumerate(indices):
-                if (column >> i) & 1:
-                    sub |= 1 << j
-            if sub:
-                columns[bit] = sub
-                active.append(bit)
-        return FulfilledMatrix(self.layout, columns, active, len(indices))
 
     def active_pids(self) -> list[int]:
         """Predicate ids fulfilled by at least one event in the batch."""

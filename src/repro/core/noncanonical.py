@@ -227,34 +227,6 @@ class NonCanonicalEngine(FilterEngine):
                     candidates.update(referencing)
         return self._match_candidates(candidates, fulfilled_ids)
 
-    def match_fulfilled_batch(
-        self, fulfilled_sets: Sequence[AbstractSet[int]]
-    ) -> list[set[int]]:
-        """Batch phase 2: one candidate buffer, compiled forms looked up
-        through hoisted locals, reused across every event in the batch.
-        Candidate collection joins through the smaller side, as in
-        :meth:`match_fulfilled`."""
-        association = self._association
-        empty_matchers = self._empty_assignment_matchers
-        match_candidates = self._match_candidates
-        association_size = len(association)
-        candidates: set[int] = set()
-        results: list[set[int]] = []
-        for fulfilled_ids in fulfilled_sets:
-            candidates.clear()
-            candidates.update(empty_matchers)
-            if association_size < len(fulfilled_ids):
-                for pid, referencing in association.items():
-                    if pid in fulfilled_ids:
-                        candidates.update(referencing)
-            else:
-                for pid in fulfilled_ids:
-                    referencing = association.get(pid)
-                    if referencing is not None:
-                        candidates.update(referencing)
-            results.append(match_candidates(candidates, fulfilled_ids))
-        return results
-
     def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
         """Route real batches through the bit-packed kernel (PR 8).
 
@@ -350,9 +322,10 @@ class NonCanonicalEngine(FilterEngine):
     ) -> set[int]:
         """Evaluate each candidate's subscription tree on the assignment.
 
-        Both the per-event and the batch path funnel through here, so
-        this is also where the work counters tick: probes are candidate
-        trees evaluated — the paper's key quantity.
+        Every set-path evaluation (per event, and the base class's batch
+        loop over :meth:`match_fulfilled`) funnels through here, so this
+        is also where the work counters tick: probes are candidate trees
+        evaluated — the paper's key quantity.
         """
         counters = self._counters
         counters.phase2_calls += 1

@@ -47,17 +47,26 @@ Partitioner strategies
     is where the serial speedup comes from.  Group loads feed a greedy
     rebalancer that migrates whole groups off overloaded shards.
 
+Batch dispatch
+--------------
+:meth:`ShardedEngine.match_batch` has one in-process path.  The
+partitioner lists each shard's candidate events (a non-routing
+partitioner lists every event for every shard); phase 1 then runs once,
+as one column-major fulfilled matrix
+(:meth:`~repro.indexes.manager.IndexManager.match_batch_bits`), and
+every shard with at least one candidate event evaluates that whole
+matrix.  The per-event answers are the union of the shards' answers —
+no per-shard slicing or masking is needed, since a shard's matches are
+exact and every subscription lives on exactly one shard.  Engines
+without a matrix kernel expand the matrix to id sets once (the
+expansion is cached on the matrix and shared by every shard).
+
 Executor strategies
 -------------------
 ``serial``
     Evaluate shards one after another in the calling thread.  The
     default: deterministic, zero overhead, the right choice for CI and
     for correctness baselines.
-``thread``
-    Evaluate shards concurrently on a thread pool.  Pure-Python phase-2
-    code holds the GIL, so this mainly helps engines that block (the
-    paged engine's disk reads); it exists as the cheap concurrency
-    strategy and as the template for GIL-free runtimes.
 ``process``
     Fork one long-lived worker per shard.  Workers rebuild their shard
     from ``spec`` + subscription slice at start and stay current under
@@ -65,9 +74,9 @@ Executor strategies
     :meth:`ShardedEngine.match_batch` is routed to workers — phase-2-only
     entry points (``match_fulfilled``) take fulfilled predicate ids that
     are parent-registry-relative, which a rebuilt worker cannot
-    interpret, so they fall back to the in-process shards.  Routed
-    pruning composes: each worker receives only the events its shard is
-    a candidate for.
+    interpret, so they run on the in-process shards.  Routed pruning
+    composes: each worker receives only the events its shard is a
+    candidate for.
 """
 
 from __future__ import annotations
@@ -75,8 +84,7 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import traceback
-from concurrent.futures import ThreadPoolExecutor
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from ..events.event import Event
 from ..indexes.manager import IndexManager
@@ -86,8 +94,6 @@ from ..subscriptions.subscription import Subscription
 from ..subscriptions.summary import interval_admits, summarize
 from .base import FilterEngine, MatchCounters, UnknownSubscriptionError
 from .registry import EngineSpec
-
-T = TypeVar("T")
 
 #: Knuth's multiplicative constant (2^32 / phi); spreads consecutive ids.
 _HASH_MULTIPLIER = 2654435761
@@ -122,9 +128,9 @@ class ShardPartitioner(abc.ABC):
     placement.  The engine calls :meth:`assign` on register (the
     partitioner remembers the placement), :meth:`forget` on unregister,
     and :meth:`shard_of` whenever it needs the current owner.  Routing
-    partitioners (:attr:`routes` true) additionally narrow the per-event
-    shard fan-out through :meth:`candidate_shards` and propose load
-    migrations through :meth:`plan_rebalance`.
+    partitioners additionally narrow the per-event shard fan-out through
+    :meth:`candidate_shards` and propose load migrations through
+    :meth:`plan_rebalance`.
 
     **Soundness contract of** :meth:`candidate_shards`: the returned
     set must contain the shard of *every* subscription the event could
@@ -134,9 +140,6 @@ class ShardPartitioner(abc.ABC):
 
     #: Strategy name as it appears in specs and ``partitioner=`` options.
     name: str = "abstract"
-    #: Whether :meth:`candidate_shards` ever prunes (``False`` lets the
-    #: engine skip per-event routing work entirely).
-    routes: bool = False
 
     def bind(self, shard_count: int) -> None:
         """Fix the shard count; called once, before any placement."""
@@ -188,7 +191,6 @@ class HashPartitioner(ShardPartitioner):
     """
 
     name = "hash"
-    routes = False
 
     def assign(self, subscription: Subscription) -> int:
         return shard_index(subscription.subscription_id, self.shard_count)
@@ -267,7 +269,6 @@ class RoutedPartitioner(ShardPartitioner):
     """
 
     name = "routed"
-    routes = True
 
     def __init__(
         self,
@@ -558,20 +559,16 @@ register_partitioner("routed", RoutedPartitioner)
 # executor strategies
 # ----------------------------------------------------------------------
 class ShardExecutor(abc.ABC):
-    """Strategy that evaluates per-shard work and collects the results.
+    """Strategy that may take batch matching out of the calling process.
 
     A strategy is bound to exactly one :class:`ShardedEngine`
     (:meth:`bind`), sees every registration change
     (:meth:`notify_register` / :meth:`notify_unregister`), and is closed
-    with the engine.  The two evaluation hooks:
-
-    * :meth:`map_shards` runs the given zero-argument jobs (one per
-      *candidate* shard — routed configurations may pass fewer jobs than
-      shards) and returns their results in job order — phase-2 work
-      (``match_fulfilled``) flows through it;
-    * :meth:`match_batch_events` may claim full two-phase batch matching
-      (events in, per-event matched-id sets out); returning ``None``
-      defers to the in-process pipeline.
+    with the engine.  Its one evaluation hook,
+    :meth:`match_batch_events`, may claim full two-phase batch matching
+    (events in, per-event matched-id sets out); returning ``None``
+    defers to the engine's in-process pipeline, which also serves every
+    per-event and phase-2-only call.
     """
 
     #: Strategy name as it appears in specs and ``executor=`` options.
@@ -591,17 +588,13 @@ class ShardExecutor(abc.ABC):
     def notify_unregister(self, shard: int, subscription_id: int) -> None:
         """``subscription_id`` was unregistered from shard ``shard``."""
 
-    @abc.abstractmethod
-    def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
-        """Run the per-shard jobs; return results in job order."""
-
     def match_batch_events(
         self,
         events: Sequence[Event],
         shard_events: Sequence[Sequence[int]] | None = None,
     ) -> list[set[int]] | None:
         """Full two-phase batch matching, or ``None`` to use the
-        in-process phase-1 + ``match_fulfilled_batch`` pipeline.
+        in-process shared-matrix pipeline.
 
         ``shard_events[s]``, when given, lists (ascending) the indices
         of the events shard ``s`` is a candidate for — the executor must
@@ -615,33 +608,6 @@ class SerialExecutor(ShardExecutor):
     """Evaluate shards in order on the calling thread (deterministic)."""
 
     name = "serial"
-
-    def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
-        return [job() for job in jobs]
-
-
-class ThreadExecutor(ShardExecutor):
-    """Evaluate shards concurrently on a lazily-created thread pool."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
-        if len(jobs) <= 1:
-            return [job() for job in jobs]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._engine.shard_count,
-                thread_name_prefix="repro-shard",
-            )
-        return list(self._pool.map(lambda job: job(), jobs))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 def _shard_worker_main(
@@ -701,7 +667,7 @@ class ProcessExecutor(ShardExecutor):
     serial usage never pays the fork) and rebuilt shards stay current:
     registrations after start are forwarded as commands.  Requires the
     ``fork`` start method — on platforms without it construction of the
-    worker pool raises, and callers should use ``serial`` or ``thread``.
+    worker pool raises, and callers should use ``serial``.
     """
 
     name = "process"
@@ -719,8 +685,7 @@ class ProcessExecutor(ShardExecutor):
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ShardWorkerError(
                 "the process executor needs the 'fork' start method "
-                "(unavailable on this platform); use executor='serial' "
-                "or 'thread'"
+                "(unavailable on this platform); use executor='serial'"
             )
         context = multiprocessing.get_context("fork")
         slices = engine.shard_subscription_slices()
@@ -801,11 +766,6 @@ class ProcessExecutor(ShardExecutor):
             self._command_one(shard, "unregister", subscription_id)
 
     # -- evaluation -----------------------------------------------------
-    def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
-        # Phase-2-only work takes parent-registry-relative predicate ids,
-        # which a rebuilt worker cannot interpret; run it in-process.
-        return [job() for job in jobs]
-
     def match_batch_events(
         self,
         events: Sequence[Event],
@@ -885,7 +845,6 @@ def make_executor(executor: ShardExecutor | str) -> ShardExecutor:
 
 
 register_executor("serial", SerialExecutor)
-register_executor("thread", ThreadExecutor)
 register_executor("process", ProcessExecutor)
 
 
@@ -909,8 +868,7 @@ class ShardedEngine(FilterEngine):
         or a :class:`ShardPartitioner` instance.
     executor:
         Evaluation strategy: a registered name (``"serial"``,
-        ``"thread"``, ``"process"``) or a :class:`ShardExecutor`
-        instance.
+        ``"process"``) or a :class:`ShardExecutor` instance.
     registry / indexes:
         Shared phase-1 state, as for every engine; all shards share it,
         so one phase-1 pass serves every shard.
@@ -955,15 +913,6 @@ class ShardedEngine(FilterEngine):
         self._executor = make_executor(executor)
         self._executor.bind(self)
         self.name = f"{self._shards[0].name}×{shards}"
-        # one shared phase-1 bit matrix can feed every shard's phase 2
-        # iff every shard actually overrides the matrix hook; otherwise
-        # the set pipeline stays (expanding the matrix per shard would
-        # multiply the transpose cost by the shard count)
-        self._matrix_capable = all(
-            type(shard).match_fulfilled_matrix
-            is not FilterEngine.match_fulfilled_matrix
-            for shard in self._shards
-        )
 
     # ------------------------------------------------------------------
     # introspection
@@ -1104,41 +1053,20 @@ class ShardedEngine(FilterEngine):
         if not candidates:
             return set()
         fulfilled = self.indexes.match(event)
-        answers = self._executor.map_shards(
-            [
-                lambda shard=shard: self._shards[shard].match_fulfilled(fulfilled)
-                for shard in candidates
-            ]
+        shards = self._shards
+        return set().union(
+            *(shards[shard].match_fulfilled(fulfilled) for shard in candidates)
         )
-        return set().union(*answers)
 
     def match_fulfilled(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
-        """Union of the shards' phase-2 answers, via the executor.
+        """Union of the shards' phase-2 answers.
 
         No event is in scope here, so no shard pruning: fulfilled ids
         alone cannot tell which event-space region produced them.
         """
-        answers = self._executor.map_shards(
-            [
-                lambda shard=shard: shard.match_fulfilled(fulfilled_ids)
-                for shard in self._shards
-            ]
+        return set().union(
+            *(shard.match_fulfilled(fulfilled_ids) for shard in self._shards)
         )
-        return set().union(*answers)
-
-    def match_fulfilled_batch(
-        self, fulfilled_sets: Sequence[AbstractSet[int]]
-    ) -> list[set[int]]:
-        answers = self._executor.map_shards(
-            [
-                lambda shard=shard: shard.match_fulfilled_batch(fulfilled_sets)
-                for shard in self._shards
-            ]
-        )
-        return [
-            set().union(*(shard_sets[i] for shard_sets in answers))
-            for i in range(len(fulfilled_sets))
-        ]
 
     def _partition_events(self, events: Sequence[Event]) -> list[list[int]]:
         """Per-shard candidate-event index lists (ascending), counted.
@@ -1161,78 +1089,39 @@ class ShardedEngine(FilterEngine):
         return shard_events
 
     def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
-        """Batch matching; the executor may claim the whole pipeline.
+        """Batch matching on one shared fulfilled matrix.
 
-        A routing partitioner first computes each event's candidate
-        shard subset; pruned shards are never probed.  The process
-        executor then ships each worker only its candidate events; the
-        in-process strategies run one shared phase-1 pass and fan
-        phase 2 out across the candidate shards — sliced from one
-        column-major bit matrix (:meth:`FulfilledMatrix.select`) when
-        every shard speaks the PR 8 kernel, as per-event id sets
-        otherwise.
+        The partitioner first lists each shard's candidate events; the
+        executor may then claim the batch (the process executor ships
+        each worker only its candidate events).  Otherwise phase 1 runs
+        once, as one column-major bit matrix, and every shard that is a
+        candidate for at least one event evaluates the whole matrix.
+        Unioning the shards' answers per event is exact without masking:
+        each subscription lives on one shard, and a shard only ever
+        reports its own subscriptions' true matches.
         """
         events = list(events)
         if not events:
             return []
-        if self._partitioner.routes:
-            shard_events = self._partition_events(events)
-        else:
-            shard_events = None
-            self._counters.shards_probed += self.shard_count * len(events)
+        shard_events = self._partition_events(events)
         routed = self._executor.match_batch_events(events, shard_events)
         if routed is not None:
             return routed
-        if shard_events is None:
-            return self._match_batch_all(events)
         results: list[set[int]] = [set() for _ in events]
         live = [
-            (shard, indices)
+            self._shards[shard]
             for shard, indices in enumerate(shard_events)
             if indices
         ]
         if not live:
             return results
-        if self._matrix_capable and len(events) > 1:
-            matrix = self.indexes.match_batch_bits(events)
-            answers = self._executor.map_shards(
-                [
-                    lambda shard=shard, indices=indices: self._shards[
-                        shard
-                    ].match_fulfilled_matrix(matrix.select(indices))
-                    for shard, indices in live
-                ]
-            )
-        else:
-            fulfilled = self.indexes.match_batch(events)
-            answers = self._executor.map_shards(
-                [
-                    lambda shard=shard, indices=indices: self._shards[
-                        shard
-                    ].match_fulfilled_batch([fulfilled[i] for i in indices])
-                    for shard, indices in live
-                ]
-            )
-        for (shard, indices), shard_sets in zip(live, answers):
-            for position, index in enumerate(indices):
-                results[index] |= shard_sets[position]
+        matrix = self.indexes.match_batch_bits(events)
+        for shard in live:
+            for matched, shard_matched in zip(
+                results, shard.match_fulfilled_matrix(matrix)
+            ):
+                matched |= shard_matched
         return results
-
-    def _match_batch_all(self, events: list[Event]) -> list[set[int]]:
-        """Full-fan-out batch path (non-routing partitioners)."""
-        if self._matrix_capable and len(events) > 1:
-            matrix = self.indexes.match_batch_bits(events)
-            answers = self._executor.map_shards(
-                [
-                    lambda shard=shard: shard.match_fulfilled_matrix(matrix)
-                    for shard in self._shards
-                ]
-            )
-            return [
-                set().union(*(shard_sets[i] for shard_sets in answers))
-                for i in range(len(events))
-            ]
-        return self.match_fulfilled_batch(self.indexes.match_batch(events))
 
     # ------------------------------------------------------------------
     # memory accounting

@@ -532,9 +532,9 @@ def run_shard_sweep(
     With the ``serial`` executor and the ``hash`` partitioner the curve
     isolates pure partitioning overhead (expect ≈1.0 or slightly below);
     the ``routed`` partitioner is where *serial* speedups appear, since
-    pruned shards are never probed; ``thread`` adds GIL-bound
-    concurrency; ``process`` is where multi-core speedups appear, since
-    each fork worker matches its slice with both phases in parallel.
+    pruned shards are never probed; ``process`` is where multi-core
+    speedups appear, since each fork worker matches its slice with both
+    phases in parallel.
 
     ``corpus`` selects the workload: ``"paper"`` is the
     :class:`PaperSubscriptionGenerator`/:class:`EventGenerator` pair (as

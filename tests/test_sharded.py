@@ -3,8 +3,8 @@
 The contract under test: a :class:`~repro.core.sharded.ShardedEngine`
 over any inner engine spec returns **exactly** the match sets of the
 unsharded engine — on the agreement corpus, per event and per batch,
-under interleaved subscribe/unsubscribe churn, and for the serial,
-thread, and process executor strategies.  Plus the partitioner, spec
+under interleaved subscribe/unsubscribe churn, and for the serial and
+process executor strategies.  Plus the partitioner, spec
 round-trips, the introspection surface, and the broker/network
 reporting built on it.
 """
@@ -47,7 +47,7 @@ ENGINE_OPTIONS = {
 }
 
 ALL_ENGINES = tuple(ENGINE_OPTIONS)
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def inner_spec(engine_name: str) -> EngineSpec:
@@ -161,6 +161,51 @@ def test_sharded_parity_under_churn(engine_name, executor, corpus):
         assert engine.subscription_ids() == plain.subscription_ids()
 
 
+@pytest.mark.parametrize("partitioner", ("hash", "routed"))
+@pytest.mark.parametrize("engine_name", ALL_ENGINES)
+def test_match_batch_evaluates_one_shared_matrix(
+    engine_name, partitioner, corpus, monkeypatch
+):
+    """The one in-process batch path: phase 1 runs once per batch, as
+    one bit matrix (never as id sets), and only shards that are a
+    candidate for some event of the batch do phase-2 work."""
+    subscriptions, events = corpus
+    plain = inner_spec(engine_name).build()
+    engine = sharded(engine_name, partitioner=partitioner)
+    for subscription in subscriptions:
+        plain.register(subscription)
+        engine.register(subscription)
+    calls = {"match_batch_bits": 0, "match_batch": 0}
+    for method in calls:
+        real = getattr(engine.indexes, method)
+
+        def spy(*args, _real=real, _method=method, **kwargs):
+            calls[_method] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(engine.indexes, method, spy)
+    idle_shards = 0
+    for start in range(0, len(events), 8):
+        batch = events[start : start + 8]
+        candidates = set()
+        for event in batch:
+            candidates.update(engine.partitioner.candidate_shards(event))
+        engine.reset_counters()
+        calls.update(match_batch_bits=0, match_batch=0)
+        assert engine.match_batch(batch) == plain.match_batch(batch)
+        assert calls == {"match_batch_bits": 1, "match_batch": 0}
+        for index, shard in enumerate(engine.shards):
+            if index not in candidates:
+                idle_shards += 1
+                assert shard.counters.phase2_calls == 0
+        counters = engine.counters
+        assert counters.shards_probed + counters.shards_pruned == (
+            engine.shard_count * len(batch)
+        )
+    # routing leaves whole shards idle for some batches; hash never does
+    assert (idle_shards > 0) == (partitioner == "routed")
+
+
 def test_sharded_match_fulfilled_parity(corpus):
     """Phase-2-only parity: shards share the parent's phase-1 state, so
     fulfilled-id sets mean the same thing sharded or not."""
@@ -244,17 +289,17 @@ def test_spec_shorthand_and_roundtrip():
         "noncanonical", {"shards": 4}
     )
     assert EngineSpec("non-canonical x 2").options["shards"] == 2
-    engine = build_engine("counting-variant×3", executor="thread")
+    engine = build_engine("counting-variant×3", executor="process")
     assert isinstance(engine, ShardedEngine)
     assert engine.shard_count == 3
-    assert engine.executor_name == "thread"
+    assert engine.executor_name == "process"
     spec = spec_of(engine)
     assert spec.name == "counting-variant"
     assert spec.options["shards"] == 3
     rebuilt = spec.build()
     assert isinstance(rebuilt, ShardedEngine)
     assert rebuilt.shard_count == 3
-    assert rebuilt.executor_name == "thread"
+    assert rebuilt.executor_name == "process"
 
 
 def test_spec_validation_errors():
@@ -271,7 +316,7 @@ def test_spec_validation_errors():
 
 
 def test_executor_registry():
-    assert set(executor_names()) >= {"serial", "thread", "process"}
+    assert executor_names() == ("serial", "process")
     instance = SerialExecutor()
     assert make_executor(instance) is instance
     with pytest.raises(ValueError):
