@@ -127,6 +127,9 @@ class SweepPoint:
     memory_bytes: int             # engine working set (paper cost model)
     slowdown: float               # simulated-machine multiplier
     seconds: float                # raw_seconds * slowdown (Fig. 3 y value)
+    #: phase-2 ``candidates_probed`` per event over the timed loop: the
+    #: deterministic work count behind ``raw_seconds``
+    candidates_per_event: float = 0.0
 
 
 @dataclass
@@ -141,6 +144,10 @@ class EngineSweep:
         if adjusted:
             return [(p.subscriptions, p.seconds) for p in self.points]
         return [(p.subscriptions, p.raw_seconds) for p in self.points]
+
+    def candidate_series(self) -> list[tuple[float, float]]:
+        """(subscriptions, candidates probed per event) pairs."""
+        return [(p.subscriptions, p.candidates_per_event) for p in self.points]
 
     def memory_series(self) -> list[tuple[float, float]]:
         """(subscriptions, bytes) pairs."""
@@ -252,9 +259,11 @@ def run_sweep(
         if verify_agreement and checkpoint_index == 0:
             _assert_engines_agree(engines, fulfilled_sets[0])
         for engine in engines:
+            probed_before = engine.counters.candidates_probed
             raw = time_subscription_matching(
                 engine, fulfilled_sets, repeats=repeats
             )
+            probed = engine.counters.candidates_probed - probed_before
             memory = engine.memory_bytes()
             slowdown = machine.slowdown_factor(memory)
             result.sweeps[engine.name].points.append(
@@ -265,6 +274,8 @@ def run_sweep(
                     memory_bytes=memory,
                     slowdown=slowdown,
                     seconds=raw * slowdown,
+                    candidates_per_event=probed
+                    / (len(fulfilled_sets) * max(repeats, 1)),
                 )
             )
     return result

@@ -144,6 +144,47 @@ class BPlusTree:
             node = node.children[0]
         return node  # type: ignore[return-value]
 
+    def _leaf_runs(
+        self, low: Any, high: Any, include_low: bool, include_high: bool
+    ) -> Iterator[tuple[_Leaf, int, int]]:
+        """``(leaf, start, end)`` runs covering the keys within the bounds.
+
+        Each bound costs one bisect per leaf, not one comparison per key.
+        """
+        if low is None:
+            leaf: Optional[_Leaf] = self._leftmost_leaf()
+            start = 0
+        else:
+            leaf = self._find_leaf(low)
+            seek = bisect.bisect_left if include_low else bisect.bisect_right
+            start = seek(leaf.keys, low)
+        stop = bisect.bisect_right if include_high else bisect.bisect_left
+        while leaf is not None:
+            keys = leaf.keys
+            end = len(keys) if high is None else stop(keys, high)
+            if start < end:
+                yield leaf, start, end
+            if end < len(keys):
+                return
+            leaf = leaf.next
+            start = 0
+
+    def range_buckets(
+        self,
+        low: Any = None,
+        high: Any = None,
+        *,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> Iterator[tuple[Any, set[int]]]:
+        """(key, bucket) pairs within the bounds, buckets *live*.
+
+        The no-copy form of :meth:`range_items` for callers that only
+        read each bucket before the next mutation of the tree.
+        """
+        for leaf, start, end in self._leaf_runs(low, high, include_low, include_high):
+            yield from zip(leaf.keys[start:end], leaf.buckets[start:end])
+
     def range_items(
         self,
         low: Any = None,
@@ -158,20 +199,10 @@ class BPlusTree:
         controlled independently — range predicate matching needs all
         four combinations (``<`` vs ``<=`` on either side).
         """
-        if low is not None:
-            leaf = self._find_leaf(low)
-        else:
-            leaf = self._leftmost_leaf()
-        while leaf is not None:
-            for key, bucket in zip(leaf.keys, leaf.buckets):
-                if low is not None:
-                    if key < low or (not include_low and key == low):
-                        continue
-                if high is not None:
-                    if key > high or (not include_high and key == high):
-                        return
-                yield key, frozenset(bucket)
-            leaf = leaf.next
+        for key, bucket in self.range_buckets(
+            low, high, include_low=include_low, include_high=include_high
+        ):
+            yield key, frozenset(bucket)
 
     def range_search(
         self,
@@ -182,7 +213,7 @@ class BPlusTree:
         include_high: bool = True,
     ) -> Iterator[Any]:
         """Keys within the bounds (see :meth:`range_items`)."""
-        for key, _ in self.range_items(
+        for key, _ in self.range_buckets(
             low, high, include_low=include_low, include_high=include_high
         ):
             yield key
@@ -195,11 +226,11 @@ class BPlusTree:
         include_low: bool = True,
         include_high: bool = True,
     ) -> Iterator[int]:
-        """Union of all bucket ids within the bounds, streamed."""
-        for _, bucket in self.range_items(
-            low, high, include_low=include_low, include_high=include_high
-        ):
-            yield from bucket
+        """Union of all bucket ids within the bounds, streamed from the
+        live buckets (no per-key copy)."""
+        for leaf, start, end in self._leaf_runs(low, high, include_low, include_high):
+            for bucket in leaf.buckets[start:end]:
+                yield from bucket
 
     # ------------------------------------------------------------------
     # insertion

@@ -19,6 +19,15 @@ from typing import Any, Iterable, Iterator
 from .base import PredicateIndex
 
 
+def _typed_key(value: Any) -> Any:
+    """Hash key keeping bools apart from the numbers they equal.
+
+    ``True == 1`` and ``hash(True) == hash(1)``, but ``=`` and ``!=``
+    never relate a bool to a number; ``1`` and ``1.0`` stay one key.
+    """
+    return (bool, value) if value.__class__ is bool else value
+
+
 class EqualityIndex(PredicateIndex):
     """operand value → ids of ``= value`` predicates."""
 
@@ -27,67 +36,76 @@ class EqualityIndex(PredicateIndex):
         self._entries = 0
 
     def insert(self, operand: Any, predicate_id: int) -> None:
-        bucket = self._buckets.setdefault(operand, set())
+        bucket = self._buckets.setdefault(_typed_key(operand), set())
         if predicate_id not in bucket:
             bucket.add(predicate_id)
             self._entries += 1
 
     def remove(self, operand: Any, predicate_id: int) -> bool:
-        bucket = self._buckets.get(operand)
+        key = _typed_key(operand)
+        bucket = self._buckets.get(key)
         if bucket is None or predicate_id not in bucket:
             return False
         bucket.discard(predicate_id)
         self._entries -= 1
         if not bucket:
-            del self._buckets[operand]
+            del self._buckets[key]
         return True
 
     def match(self, value: Any) -> Iterable[int]:
-        return self._buckets.get(value, ())
+        return self._buckets.get(_typed_key(value), ())
 
     def __len__(self) -> int:
         return self._entries
 
     def operands(self) -> Iterator[Any]:
         """Distinct indexed operand values."""
-        return iter(self._buckets)
+        for key in self._buckets:
+            yield key[1] if key.__class__ is tuple else key
 
 
 class NotEqualIndex(PredicateIndex):
     """Ids of ``!= value`` predicates, matched by complement.
 
     An event value ``x`` fulfils every NE predicate except those whose
-    operand equals ``x`` — one hash lookup plus a set difference.
+    operand equals ``x`` — one hash lookup plus a set difference.  Like
+    ``=``, ``!=`` never relates a bool to a number, so a bool value
+    draws only on bool operands and any other value only on non-bool
+    ones.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[Any, set[int]] = {}
-        self._all: set[int] = set()
+        #: is-bool operand -> ids of the NE predicates with such operands
+        self._pools: dict[bool, set[int]] = {False: set(), True: set()}
 
     def insert(self, operand: Any, predicate_id: int) -> None:
-        if predicate_id in self._all:
+        pool = self._pools[operand.__class__ is bool]
+        if predicate_id in pool:
             return
-        self._buckets.setdefault(operand, set()).add(predicate_id)
-        self._all.add(predicate_id)
+        self._buckets.setdefault(_typed_key(operand), set()).add(predicate_id)
+        pool.add(predicate_id)
 
     def remove(self, operand: Any, predicate_id: int) -> bool:
-        bucket = self._buckets.get(operand)
+        key = _typed_key(operand)
+        bucket = self._buckets.get(key)
         if bucket is None or predicate_id not in bucket:
             return False
         bucket.discard(predicate_id)
-        self._all.discard(predicate_id)
+        self._pools[operand.__class__ is bool].discard(predicate_id)
         if not bucket:
-            del self._buckets[operand]
+            del self._buckets[key]
         return True
 
     def match(self, value: Any) -> Iterable[int]:
-        excluded = self._buckets.get(value)
+        pool = self._pools[value.__class__ is bool]
+        excluded = self._buckets.get(_typed_key(value))
         if not excluded:
-            return set(self._all)
-        return self._all - excluded
+            return set(pool)
+        return pool - excluded
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self._pools[False]) + len(self._pools[True])
 
 
 class MembershipIndex(PredicateIndex):

@@ -11,17 +11,21 @@ attribute's predicates need (created lazily).  ``match(event)`` walks the
 event's attributes once — "applying indexes means to evaluate each
 attribute only once" (§2.1) — and returns the full set of fulfilled
 predicate identifiers, which is the input every engine's phase 2
-consumes.  ``match_batch(events)`` is the throughput-oriented entry
-point: it memoizes per-attribute probes across the batch so every
-distinct ``(attribute, value)`` pair is evaluated once per batch, no
-matter how many events repeat it (Zipf workloads repeat heavily).
+consumes.  ``match_batch_bits(events)`` is the throughput-oriented
+entry point: it answers a whole batch in the column-major bit form the
+phase-2 kernel consumes, with work proportional to the indexed order
+bounds and the matches rather than to (distinct value × fulfilled
+predicate); ``match_batch`` is its per-event id-set view.
 
 Operator dispatch is declarative: :data:`OPERATOR_SLOTS` binds each
 :class:`~repro.predicates.operators.Operator` to the bundle slot that
 stores its predicates, and :data:`VALUE_PROBES` lists the probes
-``match`` runs against an event value.  Registering a new operator means
-adding one slot entry (and, if it introduces a new structure, one probe)
-— ``add``, ``remove`` and ``_match_attribute`` need no changes.
+``match`` runs against an event value (the batch path runs all but the
+four order probes per distinct value and answers those from the event
+side; see :meth:`IndexManager.match_batch_bits`).  Registering a new
+operator means adding one slot entry (and, if it introduces a new
+structure, one probe) — ``add``, ``remove`` and ``_match_attribute``
+need no changes.
 
 All engines share this phase; the paper's comparison (and ours) is about
 what happens *after* it.
@@ -29,6 +33,7 @@ what happens *after* it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -168,9 +173,11 @@ OPERATOR_SLOTS: dict[Operator, OperatorSlot] = {
 # declarative value -> probe dispatch (the match side)
 # ----------------------------------------------------------------------
 # Guards select which probes apply to an event value: every value hits
-# the hash-family probes; orderable values (everything but bool) hit the
-# order/interval probes; strings additionally hit the trie probes.
+# the hash-family probes; orderable values (numbers and strings, but not
+# bools or NaN, which order against nothing) hit the order and interval
+# probes; strings additionally hit the trie probes.
 _GUARD_ALL = "all"
+_GUARD_ORDER = "order"
 _GUARD_ORDERED = "ordered"
 _GUARD_STRING = "string"
 
@@ -203,43 +210,71 @@ def _interval_probe(bundle: AttributeIndexes, value) -> Iterable[int]:
 
 
 #: (guard, probe) pairs; ``_match_attribute`` runs the probes whose guard
-#: admits the event value and unions their ids.
+#: admits the event value and unions their ids.  The ``order`` probes
+#: are the per-event form of the batch path's event-space walk.
 VALUE_PROBES: tuple[tuple[str, Callable], ...] = (
     (_GUARD_ALL, _simple_probe("equality")),
     (_GUARD_ALL, _simple_probe("not_equal")),
     (_GUARD_ALL, _simple_probe("membership")),
     (_GUARD_ALL, _simple_probe("exists")),
-    (_GUARD_ORDERED, _order_probe(Operator.LT, "low", False)),
-    (_GUARD_ORDERED, _order_probe(Operator.LE, "low", True)),
-    (_GUARD_ORDERED, _order_probe(Operator.GT, "high", False)),
-    (_GUARD_ORDERED, _order_probe(Operator.GE, "high", True)),
+    (_GUARD_ORDER, _order_probe(Operator.LT, "low", False)),
+    (_GUARD_ORDER, _order_probe(Operator.LE, "low", True)),
+    (_GUARD_ORDER, _order_probe(Operator.GT, "high", False)),
+    (_GUARD_ORDER, _order_probe(Operator.GE, "high", True)),
     (_GUARD_ORDERED, _interval_probe),
     (_GUARD_STRING, _simple_probe("prefix")),
     (_GUARD_STRING, _simple_probe("suffix")),
     (_GUARD_STRING, _simple_probe("contains")),
 )
 
-_PROBES_BOOL = tuple(p for g, p in VALUE_PROBES if g == _GUARD_ALL)
-_PROBES_NUMERIC = tuple(
-    p for g, p in VALUE_PROBES if g in (_GUARD_ALL, _GUARD_ORDERED)
-)
-_PROBES_STRING = tuple(p for _, p in VALUE_PROBES)
 
-_CACHE_MISS = object()
-
-#: The persistent probe cache is cleared when it exceeds this many
-#: distinct ``(attribute, type, value)`` entries — a safety valve for
-#: adversarial value streams; the curated workloads stay far below it.
-_PROBE_CACHE_LIMIT = 65536
+def _probes(*guards: str) -> tuple[Callable, ...]:
+    return tuple(probe for guard, probe in VALUE_PROBES if guard in guards)
 
 
-def _probes_for(value) -> tuple[Callable, ...]:
-    """The probe tuple admitted by ``value``'s type (bool before int)."""
-    if isinstance(value, bool):
-        return _PROBES_BOOL
-    if isinstance(value, str):
-        return _PROBES_STRING
-    return _PROBES_NUMERIC
+#: the kind of a value that orders against nothing; the other kinds
+#: are the order domains ``_NUMERIC`` and ``_STRING``
+_UNORDERED = "unordered"
+
+#: value kind -> the probes ``match`` runs for such a value
+_PROBES: dict[str, tuple[Callable, ...]] = {
+    _UNORDERED: _probes(_GUARD_ALL),
+    _NUMERIC: _probes(_GUARD_ALL, _GUARD_ORDER, _GUARD_ORDERED),
+    _STRING: _probes(_GUARD_ALL, _GUARD_ORDER, _GUARD_ORDERED, _GUARD_STRING),
+}
+#: the same minus the order probes: what the batch path runs per value
+_POINT_PROBES: dict[str, tuple[Callable, ...]] = {
+    _UNORDERED: _probes(_GUARD_ALL),
+    _NUMERIC: _probes(_GUARD_ALL, _GUARD_ORDERED),
+    _STRING: _probes(_GUARD_ALL, _GUARD_ORDERED, _GUARD_STRING),
+}
+
+
+def _value_kind(value) -> str:
+    """The order domain of an event value, or ``_UNORDERED`` for bools
+    (they never satisfy an order predicate) and NaN (every comparison
+    with NaN is false).  Selects the probes the value admits."""
+    if isinstance(value, bool) or value != value:
+        return _UNORDERED
+    return _STRING if isinstance(value, str) else _NUMERIC
+
+
+#: How the batch path answers an order tree from the event side: for a
+#: bound ``b``, which mask array and which bisect over the batch's
+#: sorted values give its event mask, and whether the leaf walk's limit
+#: (the largest batch value for suffix walks, the smallest for prefix
+#: walks) is inclusive; past that limit every mask is zero.
+#:   attr >= b  ->  suffix[bisect_left(values, b)],   walk b <= max
+#:   attr >  b  ->  suffix[bisect_right(values, b)],  walk b <  max
+#:   attr <= b  ->  prefix[bisect_right(values, b)],  walk b >= min
+#:   attr <  b  ->  prefix[bisect_left(values, b)],   walk b >  min
+_ORDER_WALKS: dict[Operator, tuple[bool, Callable, bool]] = {
+    # operator: (suffix array?, bisect, inclusive limit?)
+    Operator.GE: (True, bisect_left, True),
+    Operator.GT: (True, bisect_right, False),
+    Operator.LE: (False, bisect_right, True),
+    Operator.LT: (False, bisect_left, False),
+}
 
 
 class IndexManager:
@@ -251,13 +286,8 @@ class IndexManager:
         self._btree_order = btree_order
         self._attributes: dict[str, AttributeIndexes] = {}
         self._registered: dict[int, Predicate] = {}
-        #: bumped on every add/remove; guards the probe cache
+        #: bumped on every add/remove
         self._version = 0
-        #: (attribute, value type, value) -> fulfilled id set (None when
-        #: the attribute has no indexes); persists across batches until
-        #: the predicate population changes
-        self._probe_cache: dict[tuple[str, type, object], set[int] | None] = {}
-        self._probe_cache_version = 0
         #: predicate-id -> bit-position layout (lazy; see core.bitset)
         self._layout = None
 
@@ -326,16 +356,6 @@ class IndexManager:
         """Mutation counter: bumped by every ``add`` and ``remove``."""
         return self._version
 
-    def _live_probe_cache(self) -> dict[tuple[str, type, object], set[int] | None]:
-        """The probe cache, cleared if stale or oversized."""
-        if (
-            self._probe_cache_version != self._version
-            or len(self._probe_cache) > _PROBE_CACHE_LIMIT
-        ):
-            self._probe_cache = {}
-            self._probe_cache_version = self._version
-        return self._probe_cache
-
     # ------------------------------------------------------------------
     # matching (phase 1)
     # ------------------------------------------------------------------
@@ -351,54 +371,37 @@ class IndexManager:
         return fulfilled
 
     def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
-        """Phase 1 over a batch: one probe per distinct attribute value.
-
-        Events' attribute values are grouped so each per-attribute bundle
-        is probed once per distinct ``(attribute, value)`` pair; repeated
-        values (heavy under Zipf-skewed workloads) reuse the memoized id
-        set.  The cache *persists across batches* and is invalidated by
-        any ``add``/``remove`` — the per-pair fulfilled set is a pure
-        function of the indexed predicate population, never of the event
-        stream.  The cache key includes the value's concrete type because
-        matching distinguishes ``True`` from ``1`` (and the string and
-        numeric domains) even though they hash equally.
-        """
-        results: list[set[int]] = []
-        cache = self._live_probe_cache()
-        attributes = self._attributes
-        for event in events:
-            fulfilled: set[int] = set()
-            for attribute, value in event.items():
-                key = (attribute, value.__class__, value)
-                hit = cache.get(key, _CACHE_MISS)
-                if hit is _CACHE_MISS:
-                    bundle = attributes.get(attribute)
-                    if bundle is None:
-                        hit = None
-                    else:
-                        hit = set()
-                        self._match_attribute(bundle, value, hit)
-                    cache[key] = hit
-                if hit:
-                    fulfilled |= hit
-            results.append(fulfilled)
-        return results
+        """Phase 1 over a batch as per-event id sets: the set view of
+        :meth:`match_batch_bits`."""
+        return self.match_batch_bits(events).to_id_sets()
 
     def match_batch_bits(self, events: Sequence[Event]):
         """Phase 1 over a batch, in the kernel's column-major bit form.
 
         Returns a :class:`~repro.core.bitset.FulfilledMatrix`: one
-        event-space integer column per fulfilled predicate bit.  The
-        probes (and their persistent cache) are shared with
-        :meth:`match_batch`; the only difference is the output encoding —
-        instead of unioning each pair's id set into per-event Python
-        sets, every id's column gets the pair's event mask OR-ed in, one
-        int operation per (distinct pair, fulfilled id).
+        event-space integer column per fulfilled predicate bit.
+
+        Events' attribute values are grouped first, so each distinct
+        ``(attribute, type, value)`` pair carries the mask of the events
+        holding it; the key includes the value's concrete type because
+        matching distinguishes ``True`` from ``1`` even though they hash
+        equally.  Each pair runs the point probes (hash family,
+        intervals, tries) once and ORs its mask into every id they
+        return.
+
+        The four order trees are answered from the event side instead.
+        Per ``(attribute, domain)`` the distinct orderable values are
+        sorted, with prefix-OR and suffix-OR arrays of their masks; one
+        walk along each tree's leaf chain then gives every bound its
+        event mask by a single bisect (see :data:`_ORDER_WALKS`), and the
+        walk stops where masks become zero.  The cost is one step per
+        indexed bound that some event fulfils plus one OR per fulfilled
+        id, instead of one set insert per (distinct value, fulfilled
+        predicate).
         """
         from ..core.bitset import FulfilledMatrix
 
         layout = self.bit_layout
-        cache = self._live_probe_cache()
         attributes = self._attributes
         # distinct (attribute, type, value) -> mask of events carrying it
         pair_events: dict[tuple[str, type, object], int] = {}
@@ -407,35 +410,63 @@ class IndexManager:
             for attribute, value in event.items():
                 key = (attribute, value.__class__, value)
                 prev = pair_events.get(key)
-                pair_events[key] = (
-                    event_bit if prev is None else prev | event_bit
-                )
+                pair_events[key] = event_bit if prev is None else prev | event_bit
             event_bit <<= 1
         columns = [0] * layout.capacity
         active_bits: list[int] = []
+        mark = active_bits.append
         bit_of = layout.bits
-        for key, event_mask in pair_events.items():
-            hit = cache.get(key, _CACHE_MISS)
-            if hit is _CACHE_MISS:
-                bundle = attributes.get(key[0])
-                if bundle is None:
-                    hit = None
-                else:
-                    hit = set()
-                    self._match_attribute(bundle, key[2], hit)
-                cache[key] = hit
-            if hit:
-                for pid in hit:
+        # (attribute, domain) -> {orderable value: event mask}
+        order_values: dict[tuple[str, str], dict[object, int]] = {}
+        for (attribute, _, value), mask in pair_events.items():
+            bundle = attributes.get(attribute)
+            if bundle is None:
+                continue
+            kind = _value_kind(value)
+            for probe in _POINT_PROBES[kind]:
+                for pid in probe(bundle, value):
                     bit = bit_of[pid]
-                    if not columns[bit]:
-                        active_bits.append(bit)
-                    columns[bit] |= event_mask
+                    column = columns[bit]
+                    if not column:
+                        mark(bit)
+                    columns[bit] = column | mask
+            if kind != _UNORDERED and bundle.order_trees:
+                by_value = order_values.setdefault((attribute, kind), {})
+                by_value[value] = by_value.get(value, 0) | mask
+        for (attribute, domain), by_value in order_values.items():
+            values = sorted(by_value)
+            prefix = [0]
+            for value in values:
+                prefix.append(prefix[-1] | by_value[value])
+            suffix = [0]
+            for value in reversed(values):
+                suffix.append(suffix[-1] | by_value[value])
+            suffix.reverse()
+            trees = attributes[attribute].order_trees
+            for (operator, tree_domain), tree in trees.items():
+                if tree_domain != domain:
+                    continue
+                use_suffix, seek, inclusive = _ORDER_WALKS[operator]
+                if use_suffix:
+                    masks = suffix
+                    walk = tree.range_buckets(high=values[-1], include_high=inclusive)
+                else:
+                    masks = prefix
+                    walk = tree.range_buckets(low=values[0], include_low=inclusive)
+                for bound, bucket in walk:
+                    mask = masks[seek(values, bound)]
+                    for pid in bucket:
+                        bit = bit_of[pid]
+                        column = columns[bit]
+                        if not column:
+                            mark(bit)
+                        columns[bit] = column | mask
         return FulfilledMatrix(layout, columns, active_bits, len(events))
 
     def _match_attribute(
         self, bundle: AttributeIndexes, value, fulfilled: set[int]
     ) -> None:
-        for probe in _probes_for(value):
+        for probe in _PROBES[_value_kind(value)]:
             ids = probe(bundle, value)
             if ids:
                 fulfilled.update(ids)

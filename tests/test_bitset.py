@@ -7,7 +7,8 @@ Three layers of proof, bottom-up:
   word boundaries;
 * `BitLayout` recycles released bit positions without ever handing a
   live bit two meanings, and `IndexManager.match_batch_bits` stays in
-  lockstep with the set-based `match_batch` through add/remove churn;
+  lockstep with per-event `match` (and the predicates' own evaluation)
+  through add/remove churn;
 * every registry engine's `match_fulfilled_matrix` equals its set-based
   `match_fulfilled_batch` (and `match_batch` equals per-event `match`)
   over randomized corpora, including batch-flushed subscribe/unsubscribe
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SELECTED_ENGINE, event_strategy, predicate_strategy
+from helpers import SELECTED_ENGINE, predicate_strategy
 from repro import EngineSpec, UnsupportedSubscriptionError
 from repro.core.bitset import (
     POPCOUNT8,
@@ -292,18 +293,131 @@ class TestFulfilledMatrix:
             } == sets[index]
 
 
+_ORDER_OPERATORS = [Operator.LT, Operator.LE, Operator.GT, Operator.GE]
+#: numbers whose int and float spellings collide (3 / 3.0, 0 / 0.0)
+_NUMBERS = st.one_of(
+    st.integers(-6, 6), st.sampled_from([-2.5, 0.0, 0.5, 3.0, 1e9])
+)
+_WORDS = st.text(alphabet="ab", max_size=3)
+#: event values: numbers, NaN and infinities, bools, strings — on
+#: numeric and string attributes alike
+_EVENT_VALUES = st.one_of(
+    _NUMBERS,
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.booleans(),
+    _WORDS,
+)
+
+
+def _phase1_predicates():
+    """Predicates stressing phase 1's batch form: numeric and string
+    order bounds on the same attribute, ``True`` vs ``1`` operands, plus
+    every operator family of :func:`predicate_strategy`."""
+    attribute = st.sampled_from(["a", "b", "s"])
+    return st.one_of(
+        predicate_strategy(),
+        st.builds(Predicate, attribute, st.sampled_from(_ORDER_OPERATORS), _NUMBERS),
+        st.builds(Predicate, attribute, st.sampled_from(_ORDER_OPERATORS), _WORDS),
+        st.builds(
+            Predicate,
+            attribute,
+            st.sampled_from([Operator.EQ, Operator.NE]),
+            st.sampled_from([True, False, 1, 0, 1.0]),
+        ),
+        st.builds(
+            lambda a, values: Predicate(a, Operator.IN, values),
+            attribute,
+            st.sets(st.sampled_from([True, 1, 0, 2.0, "a"]), min_size=1),
+        ),
+    )
+
+
+def _phase1_batches():
+    return st.lists(
+        st.dictionaries(
+            st.sampled_from(["a", "b", "c", "s", "t"]), _EVENT_VALUES, max_size=4
+        ).map(Event),
+        min_size=1,
+        max_size=12,
+    )
+
+
 class TestIndexManagerBits:
     @given(
-        st.lists(predicate_strategy(), min_size=1, max_size=12),
-        st.lists(event_strategy(), min_size=1, max_size=16),
+        st.lists(_phase1_predicates(), min_size=1, max_size=14),
+        st.lists(
+            st.tuples(
+                _phase1_batches(),
+                st.lists(st.integers(0, 63), max_size=4),
+                st.lists(_phase1_predicates(), max_size=4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_match_batch_bits_equals_match_batch(self, predicates, events):
-        manager = IndexManager()
-        for predicate_id, predicate in enumerate(predicates, start=1):
+    @settings(max_examples=80, deadline=None)
+    def test_match_batch_bits_equals_match_batch(self, predicates, rounds):
+        """The event-space batch form equals per-event ``match`` — and
+        the predicates' own evaluation — through add/remove between
+        batches.  Half the predicates are registered twice under fresh
+        ids, so order bounds are shared by several ids; a small B+ tree
+        order spreads each tree over several leaves."""
+        manager = IndexManager(btree_order=4)
+        live: dict[int, Predicate] = {}
+
+        def add(predicate):
+            predicate_id = len(live) + sum(1 for _ in removed) + 1
             manager.add(predicate, predicate_id)
-        matrix = manager.match_batch_bits(events)
-        assert matrix.to_id_sets() == manager.match_batch(events)
+            live[predicate_id] = predicate
+
+        removed: list[int] = []
+        for predicate in predicates + predicates[: len(predicates) // 2]:
+            add(predicate)
+        for events, removals, additions in rounds:
+            expected = [manager.match(event) for event in events]
+            assert expected == [
+                {pid for pid, p in live.items() if p.matches(event)}
+                for event in events
+            ]
+            matrix = manager.match_batch_bits(events)
+            assert matrix.to_id_sets() == expected
+            assert sorted(matrix.active_bits) == sorted(
+                bit for bit, column in enumerate(matrix.columns) if column
+            )
+            assert manager.match_batch(events) == expected
+            for index in removals:
+                if live:
+                    predicate_id = sorted(live)[index % len(live)]
+                    assert manager.remove(predicate_id)
+                    del live[predicate_id]
+                    removed.append(predicate_id)
+            for predicate in additions:
+                add(predicate)
+
+    def test_order_bounds_at_and_between_event_values(self):
+        """Every order operator against bounds equal to, between and
+        outside the batch's values — ints, equal floats, strings, NaN and
+        bools in one batch — on a tree spread over several leaves."""
+        manager = IndexManager(btree_order=3)
+        bounds = [-1, 1, 2, 2.0, 2.5, 3, 9, "b", "bb"]
+        predicates = {}
+        for operator in _ORDER_OPERATORS:
+            for bound in bounds:
+                for _ in range(2):  # two ids per bound
+                    predicate_id = len(predicates) + 1
+                    predicates[predicate_id] = Predicate("v", operator, bound)
+                    manager.add(predicates[predicate_id], predicate_id)
+        values = [1, 2, 2.0, 3, "b", "a", "c", float("nan"), True, False]
+        events = [Event({"v": value}) for value in values] + [Event({})]
+        expected = [
+            {pid for pid, p in predicates.items() if p.matches(event)}
+            for event in events
+        ]
+        assert [manager.match(event) for event in events] == expected
+        assert manager.match_batch_bits(events).to_id_sets() == expected
+        # one value per batch: the walk limits sit on the bounds
+        for event, wanted in zip(events, expected):
+            assert manager.match_batch_bits([event]).to_id_sets() == [wanted]
 
     def test_layout_tracks_add_and_remove(self):
         manager = IndexManager()
@@ -321,12 +435,12 @@ class TestIndexManagerBits:
         matrix = manager.match_batch_bits([Event({"x": 5}), Event({"y": 3})])
         assert matrix.to_id_sets() == [{2}, {3}]
 
-    def test_probe_cache_invalidated_by_version_bump(self):
+    def test_answers_follow_add_and_remove(self):
         manager = IndexManager()
         manager.add(Predicate("x", Operator.GT, 1), 1)
         events = [Event({"x": 5}), Event({"x": 5})]
         assert manager.match_batch_bits(events).to_id_sets() == [{1}, {1}]
-        # a structural change must not leave the cached probe stale
+        # a structural change shows in the very next batch
         manager.add(Predicate("x", Operator.GT, 4), 2)
         assert manager.match_batch_bits(events).to_id_sets() == [{1, 2}] * 2
         manager.remove(1)

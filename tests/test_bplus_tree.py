@@ -209,3 +209,43 @@ class TestAgainstReferenceModel:
         got = list(tree.range_search(low, high))
         expected = sorted(k for k in reference if low <= k <= high)
         assert got == expected
+
+    @given(operations(), st.integers(3, 8),
+           st.one_of(st.none(), st.integers(-2, 42)),
+           st.one_of(st.none(), st.integers(-2, 42)),
+           st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_range_forms_agree_with_reference(
+        self, ops, order, low, high, include_low, include_high
+    ):
+        """range_items, range_buckets and range_ids select the same keys
+        for every bound/inclusivity combination; range_ids streams the
+        live buckets without copying them."""
+        tree = BPlusTree(order=order)
+        reference: dict[int, set[int]] = {}
+        for op, key, identifier in ops:
+            if op == "insert":
+                tree.insert(key, identifier)
+                reference.setdefault(key, set()).add(identifier)
+            elif op == "remove" and key in reference and identifier in reference[key]:
+                tree.remove(key, identifier)
+                reference[key].discard(identifier)
+                if not reference[key]:
+                    del reference[key]
+
+        def admitted(key):
+            if low is not None and (key < low or (not include_low and key == low)):
+                return False
+            return high is None or not (
+                key > high or (not include_high and key == high)
+            )
+
+        expected = [(k, reference[k]) for k in sorted(reference) if admitted(k)]
+        bounds = dict(include_low=include_low, include_high=include_high)
+        items = list(tree.range_items(low, high, **bounds))
+        assert items == expected
+        assert all(isinstance(bucket, frozenset) for _, bucket in items)
+        assert list(tree.range_buckets(low, high, **bounds)) == expected
+        assert sorted(tree.range_ids(low, high, **bounds)) == sorted(
+            pid for _, bucket in expected for pid in bucket
+        )

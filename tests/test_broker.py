@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.broker import Broker, Publisher, Subscriber
+from helpers import ALL_ENGINE_NAMES
+from repro.broker import Broker, Notification, Publisher, Subscriber
 from repro import CountingEngine
+from repro.broker.sinks import CollectingSink
 from repro.events import (
     AttributeSpec,
     AttributeType,
@@ -178,3 +180,119 @@ class TestClients:
             Subscriber("", broker)
         with pytest.raises(ValueError):
             Publisher("", broker)
+
+
+class TestNotificationRecord:
+    """The delivery record: four named fields, immutable, compared and
+    hashed by value."""
+
+    def test_fields_and_order(self):
+        assert Notification._fields == (
+            "event", "subscription_id", "subscriber", "broker"
+        )
+        event = Event({"a": 1})
+        note = Notification(event, 7, "alice", "edge")
+        assert tuple(note) == (event, 7, "alice", "edge")
+        assert note == Notification(
+            event=event, subscription_id=7, subscriber="alice", broker="edge"
+        )
+
+    def test_assignment_raises(self):
+        note = Notification(Event({"a": 1}), 7, None, "edge")
+        with pytest.raises(AttributeError):
+            note.broker = "other"
+        with pytest.raises(AttributeError):
+            note.subscription_id = 8
+
+    def test_equality_and_hash_by_fields(self):
+        event = Event({"a": 1})
+        note = Notification(event, 7, "alice", "edge")
+        same = Notification(event, 7, "alice", "edge")
+        assert note == same and hash(note) == hash(same)
+        assert note != Notification(event, 8, "alice", "edge")
+        assert note != Notification(event, 7, "bob", "edge")
+        assert len({note, same}) == 1
+
+    def test_publish_builds_records_with_handle_fields(self):
+        broker = Broker("edge")
+        sink = CollectingSink()
+        handle = broker.subscribe("a = 1", subscriber="alice", sink=sink)
+        event = Event({"a": 1})
+        expected = Notification(event, handle.id, "alice", "edge")
+        assert broker.publish(event) == [expected]
+        assert broker.publish([event]) == [[expected]]
+        assert sink.notifications == [expected, expected]
+
+    def test_paused_handle_gets_no_record(self):
+        broker = Broker("edge")
+        sink = CollectingSink()
+        paused = broker.subscribe("a = 1", sink=sink)
+        active = broker.subscribe("a >= 1")
+        paused.pause()
+        event = Event({"a": 1})
+        assert broker.publish(event) == [
+            Notification(event, active.id, None, "edge")
+        ]
+        assert broker.publish([event, Event({"a": 0})]) == [
+            [Notification(event, active.id, None, "edge")],
+            [],
+        ]
+        assert broker.notify_local(event, paused.id) is None
+        assert sink.notifications == []
+        paused.resume()
+        assert broker.notify_local(event, paused.id) == Notification(
+            event, paused.id, None, "edge"
+        )
+        assert len(sink.notifications) == 1
+
+    def test_match_without_handle_is_reported_without_subscriber(self):
+        """A subscription registered on the engine directly has no
+        handle: it still gets a record, with no subscriber and no sink."""
+        broker = Broker("edge")
+        direct = Subscription.from_text("a = 1", subscriber="ignored")
+        broker.engine.register(direct)
+        event = Event({"a": 1})
+        expected = Notification(event, direct.subscription_id, None, "edge")
+        assert broker.publish(event) == [expected]
+        assert broker.publish([event]) == [[expected]]
+
+
+class TestUnorderedEventValues:
+    """NaN orders against nothing, and a bool never meets a number under
+    ``=``/``!=``: every engine must agree with the predicates' own
+    evaluation (the brute-force engine), on the per-event and the batch
+    path."""
+
+    @pytest.mark.parametrize("engine", ALL_ENGINE_NAMES)
+    def test_nan_fulfils_no_order_predicate(self, engine):
+        broker = Broker("x", engine=engine)
+        broker.subscribe("v >= 5")
+        broker.subscribe("v < 5")
+        broker.subscribe("v between [1, 9]")
+        other = broker.subscribe("v != 5")
+        nan = Event({"v": float("nan")})
+        assert [n.subscription_id for n in broker.publish(nan)] == [other.id]
+        batch = broker.publish([nan, Event({"v": 7}), nan])
+        assert [[n.subscription_id for n in notes] for notes in batch] == [
+            [other.id],
+            [other.id - 3, other.id - 1, other.id],
+            [other.id],
+        ]
+
+    @pytest.mark.parametrize("engine", ALL_ENGINE_NAMES)
+    def test_bool_never_equals_number(self, engine):
+        broker = Broker("x", engine=engine)
+        equal_one = broker.subscribe("a = 1")
+        not_two = broker.subscribe("a != 2")
+        events = [Event({"a": True}), Event({"a": 1}), Event({"a": 1.0})]
+        expected = [
+            [],
+            [equal_one.id, not_two.id],
+            [equal_one.id, not_two.id],
+        ]
+        assert [
+            [n.subscription_id for n in broker.publish(event)] for event in events
+        ] == expected
+        assert [
+            [n.subscription_id for n in notes] for notes in broker.publish(events)
+        ] == expected
