@@ -423,10 +423,10 @@ class Broker:
             if handle is None:
                 notifications.append(Notification(event, subscription_id, None, name))
                 continue
-            if handle._paused:
+            if handle.paused:
                 continue
             notification = Notification(
-                event, subscription_id, handle.subscription.subscriber, name
+                event, subscription_id, handle.subscriber, name
             )
             sink = handle.sink
             if sink is not None:
@@ -456,10 +456,10 @@ class Broker:
             one error for the whole call.
         """
         handle = self._handles[subscription_id]
-        if handle._paused:
+        if handle.paused:
             return None
         notification = Notification(
-            event, subscription_id, handle.subscription.subscriber, self.name
+            event, subscription_id, handle.subscriber, self.name
         )
         sink = handle.sink
         if sink is not None:

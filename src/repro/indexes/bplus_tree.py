@@ -227,7 +227,13 @@ class BPlusTree:
         include_high: bool = True,
     ) -> Iterator[int]:
         """Union of all bucket ids within the bounds, streamed from the
-        live buckets (no per-key copy)."""
+        live buckets (no per-key copy).
+
+        Walks the leaf runs itself rather than through
+        :meth:`range_buckets`: skipping the per-key ``(key, bucket)``
+        tuple made overlay-churn publishes (per-event phase 1) about 10%
+        faster in an interleaved in-process A/B on a 2-vCPU x86-64 VM.
+        """
         for leaf, start, end in self._leaf_runs(low, high, include_low, include_high):
             for bucket in leaf.buckets[start:end]:
                 yield from bucket

@@ -42,6 +42,8 @@ def _normalize_operand(operator: Operator, value: Any) -> Any:
                 raise InvalidPredicateError(
                     f"BETWEEN bounds must be numbers or strings, got {bound!r}"
                 )
+            if bound != bound:
+                raise InvalidPredicateError("BETWEEN bounds must not be NaN")
         if isinstance(low, str) != isinstance(high, str):
             raise InvalidPredicateError("BETWEEN bounds must share a domain")
         if low > high:
@@ -66,14 +68,21 @@ def _normalize_operand(operator: Operator, value: Any) -> Any:
         raise InvalidPredicateError(
             f"{operator.name} operand must not be a bool"
         )
+    if operator.is_numeric_range and value != value:
+        raise InvalidPredicateError(f"{operator.name} operand must not be NaN")
     if value is None:
         raise InvalidPredicateError("predicate operand must not be None")
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Predicate:
     """An attribute-operator-value filter triple.
+
+    Equality and hash are structural, except that a bool operand never
+    equals the number it compares equal to in Python (``True == 1``):
+    ``a = true`` and ``a = 1`` fulfil different events, so the registry
+    must give them different identifiers.
 
     Examples
     --------
@@ -98,6 +107,21 @@ class Predicate:
         object.__setattr__(
             self, "value", _normalize_operand(self.operator, self.value)
         )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        value, other_value = self.value, other.value  # type: ignore[attr-defined]
+        return (
+            self.attribute == other.attribute  # type: ignore[attr-defined]
+            and self.operator is other.operator  # type: ignore[attr-defined]
+            and value == other_value
+            and (value.__class__ is bool) == (other_value.__class__ is bool)
+        )
+
+    def __hash__(self) -> int:
+        value = self.value
+        return hash((self.attribute, self.operator, value, value.__class__ is bool))
 
     def matches(self, event: Event) -> bool:
         """Evaluate this predicate against ``event``.

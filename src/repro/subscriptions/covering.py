@@ -116,10 +116,14 @@ def predicate_covers(coverer: Predicate, covered: Predicate) -> bool:
             return d_val <= c_val
         return False
     if c_op is Operator.EQ and d_op is Operator.IN:
-        return c_val == frozenset(d_val) or d_val == frozenset((c_val,))
+        # ``in`` lets bools and numbers meet (True in {1}) and ``=`` does
+        # not, so only a non-numeric single alternative implies equality
+        if isinstance(c_val, (bool, int, float)):
+            return False
+        return d_val == frozenset((c_val,))
     if c_op is Operator.NE:
         if d_op is Operator.NE:
-            return c_val == d_val
+            return False  # equal NE predicates returned above
         if d_op is Operator.EQ:
             # a = d implies a != c only within one equality domain
             # (bool and int are distinct domains in this system)

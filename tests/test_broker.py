@@ -279,6 +279,31 @@ class TestUnorderedEventValues:
             [other.id],
         ]
 
+    @pytest.mark.parametrize("bool_first", [True, False])
+    @pytest.mark.parametrize("engine", ALL_ENGINE_NAMES)
+    def test_bool_and_number_operands_stay_apart(self, engine, bool_first):
+        """``a = true`` and ``a = 1`` (and their ``!=`` forms) are
+        different predicates whichever is subscribed first."""
+        broker = Broker("x", engine=engine)
+        texts = ["a = true", "a != true", "a = 1", "a != 1"]
+        if not bool_first:
+            texts = texts[2:] + texts[:2]
+        ids = {
+            text: broker.subscribe(text).subscription_id for text in texts
+        }
+        events = [Event({"a": True}), Event({"a": 1}), Event({"a": False})]
+        expected = [
+            sorted([ids["a = true"]]),
+            sorted([ids["a = 1"]]),
+            sorted([ids["a != true"]]),
+        ]
+        assert [
+            [n.subscription_id for n in broker.publish(event)] for event in events
+        ] == expected
+        assert [
+            [n.subscription_id for n in notes] for notes in broker.publish(events)
+        ] == expected
+
     @pytest.mark.parametrize("engine", ALL_ENGINE_NAMES)
     def test_bool_never_equals_number(self, engine):
         broker = Broker("x", engine=engine)

@@ -67,6 +67,10 @@ class TestPredicateCovers:
             (P("a", Operator.EQ, 2), P("a", Operator.IN, [1, 2])),
             (P("a", Operator.NE, 5), P("a", Operator.LT, 7)),
             (P("a", Operator.NE, 1), P("a", Operator.EQ, True)),
+            # bools and numbers: != and = keep them apart, in does not
+            (P("a", Operator.NE, 1), P("a", Operator.NE, True)),
+            (P("a", Operator.EQ, 1), P("a", Operator.IN, [1])),
+            (P("a", Operator.EQ, True), P("a", Operator.IN, [1])),
             (P("s", Operator.PREFIX, "abc"), P("s", Operator.PREFIX, "ab")),
             (P("a", Operator.EQ, 1), P("a", Operator.EXISTS)),
         ],

@@ -76,6 +76,23 @@ class TestPredicateValidation:
         with pytest.raises(InvalidPredicateError):
             Predicate("a", Operator.GT, True)
 
+    @pytest.mark.parametrize(
+        "operator, operand",
+        [
+            (Operator.LT, float("nan")),
+            (Operator.LE, float("nan")),
+            (Operator.GT, float("nan")),
+            (Operator.GE, float("nan")),
+            (Operator.BETWEEN, (float("nan"), 3)),
+            (Operator.BETWEEN, (1, float("nan"))),
+        ],
+    )
+    def test_order_operators_reject_nan_operand(self, operator, operand):
+        """A NaN bound orders against nothing and would break the B+
+        trees' sorted leaves."""
+        with pytest.raises(InvalidPredicateError):
+            Predicate("a", operator, operand)
+
     def test_exists_takes_no_operand(self):
         p = Predicate("a", Operator.EXISTS)
         assert p.value is None
@@ -122,6 +139,17 @@ class TestPredicateStructuralEquality:
     def test_hashable_and_deduplicable(self):
         s = {Predicate("a", Operator.EQ, 1), Predicate("a", Operator.EQ, 1)}
         assert len(s) == 1
+
+    @pytest.mark.parametrize("operator", [Operator.EQ, Operator.NE])
+    def test_bool_operand_differs_from_equal_number(self, operator):
+        """``True == 1`` in Python, but ``a = true`` and ``a = 1`` fulfil
+        different events; ``1`` and ``1.0`` stay one predicate."""
+        true = Predicate("a", operator, True)
+        one = Predicate("a", operator, 1)
+        assert true != one
+        assert len({true, one, Predicate("a", operator, 1.0)}) == 2
+        registry = PredicateRegistry()
+        assert registry.register(true) != registry.register(one)
 
     def test_str_rendering(self):
         assert str(Predicate("a", Operator.LE, 5)) == "a <= 5"
